@@ -9,10 +9,8 @@
 
 #include "bench_common.hpp"
 #include "codegen/bssn_graph.hpp"
-#include "codegen/fused_rhs.hpp"
 #include "codegen/interp_rhs.hpp"
 #include "common/timer.hpp"
-#include "simd/simd.hpp"
 
 int main(int argc, char** argv) {
   using namespace dgr;
@@ -80,84 +78,18 @@ int main(int argc, char** argv) {
 
   // Per-variant memory profile from the kernels' exact op counters: one RHS
   // evaluation each, reported as bytes moved per flop (the roofline x-axis
-  // reciprocal). The fused SoA kernel skips the 210-array derivative store/
-  // reload round trip, which is what shrinks its bytes/FLOP.
-  codegen::FusedWorkspace fws;
+  // reciprocal).
   const char* vkeys[] = {"sympygr_cse", "binary_reduce", "staged_cse"};
   const char* vnames[] = {"sympygr-cse", "binary-reduce", "staged-cse"};
   std::printf("\n  %-16s | %-10s | %-11s | %-10s\n", "variant", "Mflop/oct",
               "MB/oct", "bytes/FLOP");
-  OpCounts vc[4];
-  for (int s = 0; s < 4; ++s) {
-    if (s < 3)
-      bssn_rhs_patch_interp(pi, po, geom, prm, ws, kernels[s], &vc[s]);
-    else
-      bssn_rhs_patch_fused(pi, po, geom, 1e9, prm, kernels[2], fws, &vc[s]);
-    const double bpf = double(vc[s].bytes_moved()) / double(vc[s].flops);
-    const char* key = s < 3 ? vkeys[s] : "staged_fused_simd";
-    rep.metric(std::string("bytes_per_flop_") + key, bpf);
-    std::printf("  %-16s | %-10.2f | %-11.2f | %-10.3f\n",
-                s < 3 ? vnames[s] : "staged-fused", 1e-6 * double(vc[s].flops),
-                1e-6 * double(vc[s].bytes_moved()), bpf);
+  for (int s = 0; s < 3; ++s) {
+    OpCounts vc;
+    bssn_rhs_patch_interp(pi, po, geom, prm, ws, kernels[s], &vc);
+    const double bpf = double(vc.bytes_moved()) / double(vc.flops);
+    rep.metric(std::string("bytes_per_flop_") + vkeys[s], bpf);
+    std::printf("  %-16s | %-10.2f | %-11.2f | %-10.3f\n", vnames[s],
+                1e-6 * double(vc.flops), 1e-6 * double(vc.bytes_moved()), bpf);
   }
-
-  // The tentpole comparison: staged+CSE through the scalar per-point
-  // interpreter (the PR's "before") vs the fused SoA kernel at the active
-  // SIMD width (the "after"). The paper target column carries the PR's
-  // acceptance floor of 2x, not a paper figure.
-  const int wact = simd_active_width();
-  std::printf("\n  fused SoA kernel, width %d (%s):\n", wact,
-              simd_backend_name(wact));
-  std::printf(
-      "  octants | staged-cse scalar | fused-simd | speedup (target 2.00)\n");
-  for (int noct : {8, 16, 32}) {
-    WallTimer ts;
-    for (int e = 0; e < noct; ++e)
-      for (int r = 0; r < 10; ++r)
-        bssn_rhs_patch_interp(pi, po, geom, prm, ws, kernels[2]);
-    const double t_scalar = ts.milliseconds() / noct;
-    WallTimer tf;
-    for (int e = 0; e < noct; ++e)
-      for (int r = 0; r < 10; ++r)
-        bssn_rhs_patch_fused(pi, po, geom, 1e9, prm, kernels[2], fws, nullptr,
-                             wact);
-    const double t_fused = tf.milliseconds() / noct;
-    const std::string oc = std::to_string(noct);
-    rep.pair("fused_simd_speedup_" + oc, 2.0, t_scalar / t_fused, "x");
-    rep.metric("staged_scalar_ms_per_octant_" + oc, t_scalar);
-    rep.metric("fused_simd_ms_per_octant_" + oc, t_fused);
-    std::printf("  %-7d | %-17.2f | %-10.2f | %.2f\n", noct, t_scalar, t_fused,
-                t_scalar / t_fused);
-  }
-
-  // Bitwise smoke: the fused kernel at the active width must reproduce both
-  // its own width-1 run and the interpreted staged+CSE reference exactly on
-  // every interior point (the DGR_SIMD=scalar vs =avx2 CI leg asserts on
-  // this metric).
-  {
-    std::vector<Real> ref(out.size()), w1(out.size());
-    bssn_rhs_patch_interp(pi, po, geom, prm, ws, kernels[2]);
-    ref = out;
-    bssn_rhs_patch_fused(pi, po, geom, 1e9, prm, kernels[2], fws, nullptr, 1);
-    w1 = out;
-    bssn_rhs_patch_fused(pi, po, geom, 1e9, prm, kernels[2], fws, nullptr,
-                         wact);
-    bool identical = true;
-    for (int v = 0; v < kVars && identical; ++v)
-      for (int kk = mesh::kPad; kk < mesh::kPad + mesh::kR; ++kk)
-        for (int jj = mesh::kPad; jj < mesh::kPad + mesh::kR; ++jj)
-          for (int ii = mesh::kPad; ii < mesh::kPad + mesh::kR; ++ii) {
-            const std::size_t p = std::size_t(v) * mesh::kPatchPts +
-                                  std::size_t(mesh::patch_idx(ii, jj, kk));
-            if (out[p] != ref[p] || out[p] != w1[p]) identical = false;
-          }
-    rep.metric("simd_bitwise_identical", identical ? 1.0 : 0.0);
-    std::printf("  bitwise vs scalar reference: %s\n",
-                identical ? "IDENTICAL" : "MISMATCH");
-  }
-  bench::note("fused kernel: SoA gather + register-machine block execution");
-  bench::note("replaces 210 per-point array walks; bitwise-identical to the");
-  bench::note("scalar interpreter at every width (speedup target is the PR");
-  bench::note("acceptance floor, the paper reports no host-SIMD figure).");
   return 0;
 }

@@ -10,7 +10,6 @@
 
 #include "bench_common.hpp"
 #include "codegen/bssn_graph.hpp"
-#include "codegen/fused_rhs.hpp"
 #include "codegen/interp_rhs.hpp"
 #include "common/timer.hpp"
 #include "perf/machine_model.hpp"
@@ -99,18 +98,15 @@ int main(int argc, char** argv) {
   bench::note("all kernels sit left of the ridge point (memory bound),");
   bench::note("matching the paper's conclusion Q < 6.25 => bandwidth limited.");
 
-  // Host vector-units roofline: the same staged+CSE RHS program, measured
-  // on this machine against the calibrated host model. Fusion lifts the
-  // kernel's arithmetic intensity (no 210-array derivative round trip);
-  // the SIMD width then lifts achieved flops toward the vector ceiling.
+  // Host roofline: the staged+CSE program through the scalar register-
+  // machine interpreter beside the production compiled RHS, measured on this
+  // machine against the calibrated host model.
   {
     const perf::MachineModel host = perf::calibrated_host();
-    const int wact = simd_active_width();
     std::printf(
-        "\n  host (%s): peak %.1f GFlops/s, %.1f GB/s; ridge AI = %.2f; "
-        "simd width %d\n",
+        "\n  host (%s): peak %.1f GFlops/s, %.1f GB/s; ridge AI = %.2f\n",
         host.name.c_str(), host.peak_gflops(), host.peak_bandwidth_gbs(),
-        host.ridge_ai(), wact);
+        host.ridge_ai());
     std::printf("  %-24s | %-8s | %-15s | %-14s\n", "host kernel", "AI",
                 "attainable GF/s", "achieved GF/s");
 
@@ -135,7 +131,6 @@ int main(int argc, char** argv) {
     bssn::BssnParams prm;
     prm.sommerfeld = false;
     bssn::DerivWorkspace dws;
-    codegen::FusedWorkspace fws;
 
     const int evals = 20;
     const auto row = [&](const char* name, const char* key,
@@ -147,32 +142,21 @@ int main(int argc, char** argv) {
       rep.metric(std::string("host_ai_") + key, ai);
       rep.metric(std::string("host_gflops_") + key, achieved);
     };
-    OpCounts ci, cf;
+    OpCounts ci, cp;
     codegen::bssn_rhs_patch_interp(pi, po, geom, prm, dws, staged, &ci);
-    codegen::bssn_rhs_patch_fused(pi, po, geom, 1e9, prm, staged, fws, &cf);
+    bssn::bssn_rhs_patch(pi, po, geom, 1e9, prm, dws, &cp);
     WallTimer t0;
     for (int e = 0; e < evals; ++e)
       codegen::bssn_rhs_patch_interp(pi, po, geom, prm, dws, staged);
     const double sec_interp = t0.seconds();
     WallTimer t1;
     for (int e = 0; e < evals; ++e)
-      codegen::bssn_rhs_patch_fused(pi, po, geom, 1e9, prm, staged, fws,
-                                    nullptr, 1);
-    const double sec_w1 = t1.seconds();
-    WallTimer t2;
-    for (int e = 0; e < evals; ++e)
-      codegen::bssn_rhs_patch_fused(pi, po, geom, 1e9, prm, staged, fws,
-                                    nullptr, wact);
-    const double sec_simd = t2.seconds();
+      bssn::bssn_rhs_patch(pi, po, geom, 1e9, prm, dws);
+    const double sec_prod = t1.seconds();
     row("staged interp (arrays)", "interp", ci, sec_interp);
-    row("fused SoA width 1", "fused_w1", cf, sec_w1);
-    row("fused SoA active width", "fused_simd", cf, sec_simd);
-    rep.metric("host_simd_width", double(wact));
-    bench::note("fusion raises AI (fewer slow-memory bytes per flop) and the");
-    bench::note("explicit width-" + std::to_string(wact) +
-                " packs raise achieved GF/s; at these AIs the");
-    bench::note("host kernels sit right of the (low) host ridge - compute");
-    bench::note("bound - which is exactly where vector units pay off.");
+    row("production bssn_rhs_patch", "production", cp, sec_prod);
+    bench::note("both host kernels sit right of the (low) host ridge:");
+    bench::note("compute bound on this machine, unlike the modeled A100.");
   }
   return 0;
 }

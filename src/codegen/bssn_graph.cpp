@@ -57,15 +57,6 @@ int bssn_algebra_num_inputs() {
   return n;
 }
 
-const AlgebraInputIndex& algebra_input_index() {
-  static const AlgebraInputIndex m = [] {
-    AlgebraInputIndex a;
-    visit_inputs(a.idx, [&](int& slot, const std::string&) { slot = a.count++; });
-    return a;
-  }();
-  return m;
-}
-
 BssnAlgebraGraph build_bssn_algebra_graph(Real lambda_f0, Real eta,
                                           Real ko_sigma) {
   BssnAlgebraGraph out;

@@ -28,17 +28,6 @@ BssnAlgebraGraph build_bssn_algebra_graph(Real lambda_f0 = 0.75,
 /// Number of scalar inputs the packed vector carries.
 int bssn_algebra_num_inputs();
 
-/// Canonical flat index of every AlgebraInputs slot: `idx.d_gt[s][a]` holds
-/// the input_id the graph builder assigned to that slot (== the offset the
-/// packer writes it at). The fused SoA gather (fused_rhs.cpp) addresses its
-/// input rows through this map, so it cannot drift from the packer or the
-/// graph registration order.
-struct AlgebraInputIndex {
-  bssn::AlgebraInputs<int> idx;
-  int count = 0;
-};
-const AlgebraInputIndex& algebra_input_index();
-
 /// Fill `buf` (size bssn_algebra_num_inputs()) from gathered point inputs,
 /// in the same order the graph builder registered them.
 void pack_algebra_inputs(const bssn::AlgebraInputs<Real>& q, Real* buf);

@@ -25,15 +25,18 @@ void sweep_octant_to_patch(const ExecSpace& es, const mesh::Mesh& mesh,
 }
 
 void sweep_rhs(const ExecSpace& es, const mesh::Mesh& mesh,
-               const RhsDispatch& d, OctIndex begin, OctIndex end,
-               const Real* patch_in, Real* patch_out, OpCounts* counts) {
+               const bssn::BssnParams& params,
+               std::vector<bssn::DerivWorkspace>& ws, OctIndex begin,
+               OctIndex end, const Real* patch_in, Real* patch_out,
+               OpCounts* counts) {
   const Real half = mesh.domain().half_extent;
   const LaunchSpec spec{"bssn-rhs", "rhs", std::uint64_t(end - begin), 0};
   es.team_for(
       spec, end - begin, /*grain=*/4, counts,
       [&](const TeamMember& tm, std::int64_t eb, std::int64_t ee,
           OpCounts& c) {
-        bssn::DerivWorkspace& ws = (*d.ws)[static_cast<std::size_t>(tm.lane())];
+        bssn::DerivWorkspace& lane_ws =
+            ws[static_cast<std::size_t>(tm.lane())];
         for (OctIndex e = begin + static_cast<OctIndex>(eb);
              e < begin + static_cast<OctIndex>(ee); ++e) {
           const Real* pin[kNumVars];
@@ -44,15 +47,8 @@ void sweep_rhs(const ExecSpace& es, const mesh::Mesh& mesh,
             pin[v] = patch_in + off;
             pout[v] = patch_out + off;
           }
-          if (d.fused) {
-            codegen::bssn_rhs_patch_fused(
-                pin, pout, mesh.patch_geom(e), half, *d.params, *d.fused,
-                (*d.fws)[static_cast<std::size_t>(tm.lane())], &c,
-                tm.vector_width());
-          } else {
-            bssn::bssn_rhs_patch(pin, pout, mesh.patch_geom(e), half,
-                                 *d.params, ws, &c);
-          }
+          bssn::bssn_rhs_patch(pin, pout, mesh.patch_geom(e), half, params,
+                               lane_ws, &c);
         }
       });
 }

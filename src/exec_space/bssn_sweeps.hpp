@@ -8,7 +8,7 @@
 /// here, parameterized on the ExecSpace it runs in:
 ///
 ///   octant-to-patch (unzip)   sweep_octant_to_patch
-///   patch RHS dispatch        sweep_rhs
+///   patch RHS                 sweep_rhs
 ///   patch-to-octant (zip)     sweep_patch_to_octant
 ///   RK4 AXPY                  sweep_rk4_axpy
 ///   subcycle stage fill/save/update
@@ -36,7 +36,6 @@
 
 #include "bssn/rhs.hpp"
 #include "bssn/state.hpp"
-#include "codegen/fused_rhs.hpp"
 #include "common/counters.hpp"
 #include "exec_space/exec_space.hpp"
 #include "fd/dense_output.hpp"
@@ -58,22 +57,15 @@ void sweep_octant_to_patch(const ExecSpace& es, const mesh::Mesh& mesh,
                            OctIndex end, Real* patches,
                            mesh::UnzipMethod method, OpCounts* counts);
 
-/// Which patch-RHS kernel sweep_rhs dispatches to, plus the per-lane
-/// scratch it indexes by TeamMember::lane(). `fused` == nullptr selects the
-/// staged compiled C++ kernel (bssn_rhs_patch); otherwise the fused SIMD
-/// path runs at the space's vector-policy width.
-struct RhsDispatch {
-  const bssn::BssnParams* params = nullptr;
-  const codegen::CompiledKernel* fused = nullptr;
-  std::vector<bssn::DerivWorkspace>* ws = nullptr;
-  std::vector<codegen::FusedWorkspace>* fws = nullptr;
-};
-
-/// Patch RHS of octants [begin, end) from `patch_in` into `patch_out`,
-/// split by octant. Kernel "bssn-rhs", host label "rhs".
+/// Patch RHS (bssn::bssn_rhs_patch) of octants [begin, end) from
+/// `patch_in` into `patch_out`, split by octant. `ws` holds one derivative
+/// workspace per lane, indexed by TeamMember::lane(). Kernel "bssn-rhs",
+/// host label "rhs".
 void sweep_rhs(const ExecSpace& es, const mesh::Mesh& mesh,
-               const RhsDispatch& d, OctIndex begin, OctIndex end,
-               const Real* patch_in, Real* patch_out, OpCounts* counts);
+               const bssn::BssnParams& params,
+               std::vector<bssn::DerivWorkspace>& ws, OctIndex begin,
+               OctIndex end, const Real* patch_in, Real* patch_out,
+               OpCounts* counts);
 
 /// Patch-to-octant scatter (zip) of octants [begin, end), split by octant
 /// (owner-DOF writes are disjoint). Kernel "patch-to-octant", host label

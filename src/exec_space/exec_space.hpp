@@ -30,12 +30,6 @@
 /// backend delegates to GpuRuntime::launch_range, which owns its arena,
 /// kernel records, and ScopedSpan/flight-recorder instrumentation.
 ///
-/// The inner-loop vector policy plugs the dgr::simd pack layer in:
-/// VectorPolicy carries the SIMD dispatch width (0 = the runtime DGR_SIMD
-/// width) and team_for hands it to kernel bodies through TeamMember, so a
-/// kernel's vector width is a property of the space it runs in, not of the
-/// kernel body.
-///
 /// The DGR_EXEC_SPACE environment knob (strict: serial|pool|simgpu)
 /// overrides the backend returned by ExecSpace::host(), which every host
 /// solver path uses by default — the lever the CI determinism matrix pulls
@@ -47,7 +41,6 @@
 #include "common/counters.hpp"
 #include "exec/parallel.hpp"
 #include "exec/pool.hpp"
-#include "simd/simd.hpp"
 #include "simgpu/runtime.hpp"
 
 namespace dgr::exec_space {
@@ -78,31 +71,6 @@ constexpr std::size_t patch_offset(std::int64_t o, int v, std::size_t nvar,
          npts;
 }
 
-/// Per-backend memory-layout traits. Kernel authors index patch blocks and
-/// state fields through these instead of hard-coding an order, so a future
-/// device backend can flip the layout without touching kernel bodies.
-template <Backend B>
-struct layout_traits {
-  /// Whether inner loops should prefer structure-of-arrays register
-  /// blocking (a real GPU wants coalesced SoA access; the host backends
-  /// stream AoS patch blocks cache-linearly). Advisory: the simulated
-  /// device executes on the host, so today every backend shares the host
-  /// layout and the trait only steers vectorization strategy.
-  static constexpr bool prefers_soa = (B == Backend::kSimGpu);
-  /// The backend's patch-block offset (today: the shared host layout).
-  static constexpr std::size_t patch_offset(std::int64_t o, int v,
-                                            std::size_t nvar,
-                                            std::size_t npts) {
-    return exec_space::patch_offset(o, v, nvar, npts);
-  }
-};
-
-/// Runtime mirror of layout_traits for code that holds a Backend value.
-struct Layout {
-  bool prefers_soa = false;
-};
-Layout layout_of(Backend b);
-
 /// Identity of one launch: the simgpu kernel-record name plus the host
 /// trace label (worker spans), with the block/stream accounting the device
 /// model prices. Host backends ignore blocks/stream.
@@ -113,29 +81,17 @@ struct LaunchSpec {
   int stream = 0;               ///< simgpu stream (0 = sync pipeline)
 };
 
-/// Inner-loop vector policy: the dgr::simd pack width kernel bodies
-/// dispatch on. 0 defers to the runtime DGR_SIMD width at the kernel-body
-/// level (simd_active_width), 1 forces scalar, 4 forces 4-wide packs.
-/// Results are bitwise identical at every width.
-struct VectorPolicy {
-  int width = 0;
-};
-
 /// Handle a team_for body receives: the executing lane (index for per-lane
-/// scratch such as derivative workspaces) and the space's vector policy.
+/// scratch such as derivative workspaces).
 class TeamMember {
  public:
-  TeamMember(int lane, int vector_width)
-      : lane_(lane), vector_width_(vector_width) {}
+  explicit TeamMember(int lane) : lane_(lane) {}
   /// Executing lane in [0, ExecSpace::max_lanes()): stable for the whole
   /// team (chunk), distinct across concurrently running teams.
   int lane() const { return lane_; }
-  /// The space's inner-loop vector width (see VectorPolicy).
-  int vector_width() const { return vector_width_; }
 
  private:
   int lane_;
-  int vector_width_;
 };
 
 namespace detail {
@@ -183,10 +139,6 @@ class ExecSpace {
   Backend backend() const { return backend_; }
   /// The backing runtime (non-null iff backend() == kSimGpu).
   dgr::simgpu::GpuRuntime* runtime() const { return rt_; }
-  Layout layout() const { return layout_of(backend_); }
-
-  VectorPolicy vector_policy() const { return vp_; }
-  void set_vector_policy(VectorPolicy vp) { vp_ = vp; }
 
   /// Sizing bound for per-lane scratch arrays indexed by TeamMember::lane.
   int max_lanes() const { return exec::lanes(); }
@@ -225,15 +177,14 @@ class ExecSpace {
   }
 
   /// Hierarchical flavor: body(TeamMember&, chunk_begin, chunk_end,
-  /// OpCounts&) — one team per chunk, with the executing lane and the
-  /// space's vector policy delivered through the member handle.
+  /// OpCounts&) — one team per chunk, with the executing lane delivered
+  /// through the member handle.
   template <class Body>
   void team_for(const LaunchSpec& spec, std::int64_t n, std::int64_t grain,
                 OpCounts* counts, Body&& body) const {
-    const int vw = vp_.width;
     range_for(spec, n, grain, counts,
-              [&body, vw](std::int64_t b, std::int64_t e, OpCounts& c) {
-                TeamMember member(exec::this_lane(), vw);
+              [&body](std::int64_t b, std::int64_t e, OpCounts& c) {
+                TeamMember member(exec::this_lane());
                 body(member, b, e, c);
               });
   }
@@ -291,7 +242,6 @@ class ExecSpace {
 
   Backend backend_;
   dgr::simgpu::GpuRuntime* rt_;
-  VectorPolicy vp_;
 };
 
 }  // namespace dgr::exec_space

@@ -40,7 +40,18 @@ std::vector<Real> fornberg_weights(Real x0, const std::vector<Real>& nodes,
   return w;
 }
 
-const StencilWeights& stencil_weights() {
+namespace {
+
+/// The fixed stencil weight tables used by every operator below.
+struct StencilWeights {
+  Real w1[7];      ///< centered first derivative, nodes -3..3
+  Real w2[7];      ///< centered second derivative, nodes -3..3
+  Real up_pos[5];  ///< 4th-order upwind for positive speed, nodes -1..3
+  Real up_neg[5];  ///< mirrored, nodes -3..1
+  Real ko[7];      ///< KO numerator (binomial / 64), nodes -3..3
+};
+
+const StencilWeights& weights() {
   static const StencilWeights w = [] {
     StencilWeights s;
     const std::vector<Real> c7 = {-3, -2, -1, 0, 1, 2, 3};
@@ -61,11 +72,10 @@ const StencilWeights& stencil_weights() {
   return w;
 }
 
-namespace {
-
-const StencilWeights& weights() { return stencil_weights(); }
-
-constexpr int stride_of(int axis) { return axis_stride(axis); }
+/// Element stride of a patch axis (0=x, 1=y, 2=z).
+constexpr int stride_of(int axis) {
+  return axis == 0 ? 1 : axis == 1 ? kPatch : kPatch * kPatch;
+}
 
 /// Compile-time-stride centered sweep: the fixed stride lets the compiler
 /// unroll and vectorize the 7-point contraction; the valid region is 3..9

@@ -31,24 +31,6 @@ using mesh::patch_idx;
 std::vector<Real> fornberg_weights(Real x0, const std::vector<Real>& nodes,
                                    int m);
 
-/// The fixed stencil weight tables used by every operator below. Exposed so
-/// the fused point evaluators (stencils_point.hpp) contract the exact same
-/// coefficients in the exact same order as the sweep operators — the basis
-/// of the fused-kernel bitwise-identity contract.
-struct StencilWeights {
-  Real w1[7];      ///< centered first derivative, nodes -3..3
-  Real w2[7];      ///< centered second derivative, nodes -3..3
-  Real up_pos[5];  ///< 4th-order upwind for positive speed, nodes -1..3
-  Real up_neg[5];  ///< mirrored, nodes -3..1
-  Real ko[7];      ///< KO numerator (binomial / 64), nodes -3..3
-};
-const StencilWeights& stencil_weights();
-
-/// Element stride of a patch axis (0=x, 1=y, 2=z).
-constexpr int axis_stride(int axis) {
-  return axis == 0 ? 1 : axis == 1 ? kPatch : kPatch * kPatch;
-}
-
 /// Centered O(h^6) first derivative along axis (0=x, 1=y, 2=z).
 void d1(const Real* u, Real* out, int axis, Real h);
 

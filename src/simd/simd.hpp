@@ -1,9 +1,8 @@
 #pragma once
 /// \file simd.hpp
-/// \brief Thin explicit-SIMD wrapper `dgr::simd<double, W>` for the fused
-/// RHS kernels (ROADMAP item 2): a fixed-width pack of doubles with
-/// elementwise load/store/arithmetic whose per-lane results are bitwise
-/// identical to the scalar expressions they replace.
+/// \brief Thin explicit-SIMD wrapper `dgr::simd<double, W>`: a fixed-width
+/// pack of doubles with elementwise load/store/arithmetic whose per-lane
+/// results are bitwise identical to the scalar expressions they replace.
 ///
 /// Three instantiations coexist:
 ///  - `simd<double, 1>`  — the scalar reference, always available;
@@ -16,8 +15,8 @@
 /// ODR/ABI safety: everything here is a header-only template, and the AVX2
 /// specialization is compiled in (or out) uniformly for the whole build via
 /// the global `DGR_SIMD_AVX2` definition — never by mixing `-march` flags
-/// between translation units. Backend choice at run time (`DGR_SIMD=avx2|
-/// scalar`) only selects which already-instantiated width to dispatch to.
+/// between translation units. `DGR_SIMD=avx2|scalar` only sets the width
+/// simd_active_width() reports.
 ///
 /// Determinism contract: add/sub/mul/div/neg/min/max/select are lanewise
 /// identical to their scalar counterparts; `fma` is a single-rounding fused
@@ -269,12 +268,11 @@ inline const char* simd_march() {
 #endif
 }
 
-/// Active dispatch width: `DGR_SIMD=scalar` forces 1, `DGR_SIMD=avx2`
-/// forces 4 (the generic 4-wide fallback when AVX2 was not compiled in),
-/// default is the native width. Any other value throws dgr::Error at first
-/// use — a typo'd DGR_SIMD must not silently run at the native width.
-/// Read once and cached — set the environment variable before the first
-/// kernel runs.
+/// Active width, as recorded in bench telemetry: `DGR_SIMD=scalar` gives 1,
+/// `DGR_SIMD=avx2` gives 4 (the generic 4-wide fallback when AVX2 was not
+/// compiled in), default is the native width. Any other value throws
+/// dgr::Error at first use — a typo'd DGR_SIMD must not silently report the
+/// native width. Read once and cached.
 inline int simd_active_width() {
   static const int w = [] {
     const char* e = std::getenv("DGR_SIMD");

@@ -18,7 +18,7 @@ std::uint64_t state_bytes(const mesh::Mesh& m) {
 }
 
 /// The host pipeline configuration equivalent to a GpuSolverConfig: same
-/// params, chunking and SIMD width; the device kernels always unzip by
+/// params and chunking; the device kernels always unzip by
 /// looping over octants (one block per octant).
 solver::SolverConfig pipeline_config(const GpuSolverConfig& c) {
   solver::SolverConfig s;
@@ -26,9 +26,6 @@ solver::SolverConfig pipeline_config(const GpuSolverConfig& c) {
   s.cfl = c.cfl;
   s.chunk_octants = c.chunk_octants;
   s.unzip_method = mesh::UnzipMethod::kLoopOverOctants;
-  s.rhs_kernel = c.fused_simd_rhs ? solver::RhsKernel::kStagedFusedSimd
-                                  : solver::RhsKernel::kCompiled;
-  s.simd_width = c.simd_width;
   return s;
 }
 }  // namespace

@@ -26,12 +26,6 @@ struct GpuSolverConfig {
   bssn::BssnParams bssn;
   Real cfl = 0.25;
   int chunk_octants = 64;
-  /// Run the "bssn-rhs" kernel through the fused SIMD path (the host-side
-  /// analogue of the paper's generated staged+CSE device kernel) instead of
-  /// the staged compiled C++ kernel.
-  bool fused_simd_rhs = false;
-  /// SIMD pack width for the fused kernel (0 = runtime DGR_SIMD width).
-  int simd_width = 0;
 };
 
 class GpuBssnSolver {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "codegen/bssn_graph.hpp"
 #include "common/error.hpp"
 #include "exec_space/bssn_sweeps.hpp"
 #include "mesh/sampling.hpp"
@@ -21,18 +20,10 @@ RhsPipeline::RhsPipeline(std::shared_ptr<const mesh::Mesh> mesh,
     : mesh_(std::move(mesh)), config_(config), space_(space) {
   DGR_CHECK(mesh_ != nullptr);
   DGR_CHECK(config_.chunk_octants > 0);
-  space_.set_vector_policy({config_.simd_width});
   const std::size_t cap =
       static_cast<std::size_t>(config_.chunk_octants) * kNumVars * kPatchPts;
   patch_in_.resize(cap);
   patch_out_.resize(cap);
-  if (config_.rhs_kernel == RhsKernel::kStagedFusedSimd) {
-    const auto g = codegen::build_bssn_algebra_graph(
-        config_.bssn.lambda_f0, config_.bssn.eta, config_.bssn.ko_sigma);
-    fused_kernel_ = std::make_unique<codegen::CompiledKernel>(
-        g.graph, std::vector<std::int32_t>(g.outputs.begin(), g.outputs.end()),
-        codegen::Strategy::kStagedCse);
-  }
 }
 
 void RhsPipeline::set_mesh(std::shared_ptr<const mesh::Mesh> mesh) {
@@ -47,10 +38,6 @@ void RhsPipeline::compute(const BssnState& u, BssnState& rhs,
   const auto out = rhs.ptrs();
   if (static_cast<int>(ws_.size()) < space_.max_lanes())
     ws_.resize(space_.max_lanes());
-  if (fused_kernel_ && static_cast<int>(fws_.size()) < space_.max_lanes())
-    fws_.resize(space_.max_lanes());
-  const exec_space::RhsDispatch dispatch{&config_.bssn, fused_kernel_.get(),
-                                         &ws_, &fws_};
 
   // Per-call phase durations feed the timing-gated histograms below: the
   // banked PhaseTimer totals are snapshotted here and the deltas observed
@@ -77,7 +64,7 @@ void RhsPipeline::compute(const BssnState& u, BssnState& rhs,
       if (phases) phases->unzip.stop();
 
       if (phases) phases->rhs.start();
-      exec_space::sweep_rhs(space_, *mesh_, dispatch, begin, end,
+      exec_space::sweep_rhs(space_, *mesh_, config_.bssn, ws_, begin, end,
                             patch_in_.data(), patch_out_.data(), counts);
       if (phases) phases->rhs.stop();
 

@@ -12,7 +12,6 @@
 #include "bssn/constraints.hpp"
 #include "bssn/rhs.hpp"
 #include "bssn/state.hpp"
-#include "codegen/fused_rhs.hpp"
 #include "common/counters.hpp"
 #include "common/timer.hpp"
 #include "exec_space/exec_space.hpp"
@@ -21,12 +20,6 @@
 
 namespace dgr::solver {
 
-/// Which patch-RHS kernel the pipeline runs.
-enum class RhsKernel {
-  kCompiled,         ///< bssn_rhs_patch: staged compiled C++ (default)
-  kStagedFusedSimd,  ///< fused SIMD path over the staged+CSE program
-};
-
 struct SolverConfig {
   bssn::BssnParams bssn;
   Real cfl = 0.25;  ///< Courant factor lambda (paper §III-A)
@@ -34,11 +27,6 @@ struct SolverConfig {
   /// GPU analogue launches one block per octant).
   int chunk_octants = 64;
   mesh::UnzipMethod unzip_method = mesh::UnzipMethod::kLoopOverOctants;
-  RhsKernel rhs_kernel = RhsKernel::kCompiled;
-  /// SIMD pack width for the fused kernel: 0 = the runtime width selected
-  /// by DGR_SIMD (see simd_active_width), else 1 or 4. Results are bitwise
-  /// identical at every width and thread count.
-  int simd_width = 0;
 };
 
 /// Per-phase accumulated wall-clock cost of the evolution pipeline; the
@@ -96,10 +84,6 @@ class RhsPipeline {
   /// One derivative workspace per execution lane: the RHS sweep body
   /// indexes this by TeamMember::lane().
   std::vector<bssn::DerivWorkspace> ws_;
-  /// Fused-kernel state (only populated for RhsKernel::kStagedFusedSimd):
-  /// the compiled staged+CSE program and one SoA workspace per pool lane.
-  std::unique_ptr<codegen::CompiledKernel> fused_kernel_;
-  std::vector<codegen::FusedWorkspace> fws_;
   std::vector<Real> patch_in_, patch_out_;
 };
 
@@ -135,7 +119,7 @@ class BssnCtx {
   /// steps coarsest-first, each depth running a full RK4 restricted to its
   /// octant runs, with every other depth's DOFs dense-output-interpolated
   /// to the stage times (fd/dense_output.hpp). Bitwise deterministic at
-  /// any thread count and SIMD width; on a uniform mesh the arithmetic
+  /// any thread count; on a uniform mesh the arithmetic
   /// degenerates to exactly rk4_step(fine_dt).
   void subcycle_cycle(Real fine_dt);
 

@@ -26,8 +26,6 @@ namespace {
 using bssn::BssnState;
 using mesh::Mesh;
 
-constexpr int kThreadCounts[] = {1, 2, 7};
-
 std::shared_ptr<Mesh> puncture_mesh() {
   oct::Domain dom{16.0};
   return std::make_shared<Mesh>(
@@ -87,38 +85,6 @@ TEST(Determinism, CpuEvolveIsBitwiseStableAcrossThreadCounts) {
     }
     EXPECT_EQ(run.metrics, ref.metrics) << threads;
   }
-  exec::ThreadPool::set_global_threads(1);
-}
-
-/// One fused-SIMD-kernel evolution: 2 RK4 steps through the staged+CSE
-/// program at a given SIMD width.
-BssnState run_fused(int threads, int width) {
-  exec::ThreadPool::set_global_threads(threads);
-  auto m = puncture_mesh();
-  solver::SolverConfig scfg;
-  scfg.bssn.ko_sigma = 0.3;
-  scfg.rhs_kernel = solver::RhsKernel::kStagedFusedSimd;
-  scfg.simd_width = width;
-  solver::BssnCtx ctx(m, scfg);
-  init_puncture(*m, ctx.state());
-  ctx.rk4_step();
-  ctx.rk4_step();
-  return ctx.state();
-}
-
-TEST(Determinism, FusedSimdRhsIsBitwiseStableAcrossThreadsAndWidths) {
-  // The fused SIMD kernel must be bitwise identical to
-  // its scalar reference at every thread count AND every pack width — the
-  // two knobs (DGR_THREADS, DGR_SIMD) never change results.
-  const BssnState ref = run_fused(1, 1);
-  ASSERT_GT(ref.num_dofs(), 0u);
-  for (int threads : kThreadCounts)
-    for (int width : {1, 4}) {
-      if (threads == 1 && width == 1) continue;
-      const BssnState run = run_fused(threads, width);
-      EXPECT_EQ(run.max_abs_diff(ref), 0.0)
-          << "threads " << threads << " width " << width;
-    }
   exec::ThreadPool::set_global_threads(1);
 }
 

@@ -1,18 +1,14 @@
 /// \file test_simd.cpp
 /// \brief Tests of the explicit SIMD wrapper dgr::simd<double, W>: memory
 /// ops (aligned, unaligned, partial tails), lanewise arithmetic identity
-/// with scalar expressions, single-rounding fma, min/max semantics, and the
-/// property that the fused pack stencil evaluators (stencils_point.hpp) are
-/// bitwise-equal lane for lane to the scalar sweeps they replace.
+/// with scalar expressions, single-rounding fma, min/max semantics, and
+/// runtime width selection.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <vector>
 
 #include "common/rng.hpp"
-#include "fd/stencils.hpp"
-#include "fd/stencils_point.hpp"
 #include "simd/simd.hpp"
 
 namespace dgr {
@@ -128,60 +124,6 @@ TEST(Simd, WidthSelection) {
   EXPECT_STREQ(simd_backend_name(1), "scalar");
   const int w = simd_active_width();
   EXPECT_TRUE(w == 1 || w == 4);
-}
-
-/// Property test: every fused pack stencil evaluator is bitwise-equal, lane
-/// for lane, to (a) its own scalar instantiation and (b) the whole-patch
-/// sweep operator it fuses — on random data, at every interior point.
-TEST(Simd, FusedStencilsBitwiseEqualScalarSweeps) {
-  using namespace dgr::fd;
-  Rng rng(7);
-  std::vector<Real> u(kPatchPts), beta(kPatchPts);
-  for (auto& v : u) v = rng.uniform(-1, 1);
-  for (auto& v : beta) v = rng.uniform(-1, 1);
-  const Real h = 0.1;
-  const Real inv_h = 1.0 / h, inv_h2 = 1.0 / (h * h);
-  std::vector<Real> sweep(kPatchPts), asweep(kPatchPts), ko(kPatchPts);
-  fd::ko_dissipation(u.data(), ko.data(), 1.0, h);
-
-  for (int axis = 0; axis < 3; ++axis) {
-    fd::d1_upwind(u.data(), beta.data(), asweep.data(), axis, h);
-    for (int deriv = 0; deriv < 2; ++deriv) {
-      if (deriv == 0)
-        fd::d1(u.data(), sweep.data(), axis, h);
-      else
-        fd::d2(u.data(), sweep.data(), axis, h);
-      for (int kk = kPad; kk < kPad + kR; ++kk)
-        for (int jj = kPad; jj < kPad + kR; ++jj)
-          for (int ii = kPad; ii < kPad + kR; ii += 4) {
-            const int p = patch_idx(ii, jj, kk);
-            const int lanes = std::min(4, kPad + kR - ii);
-            const auto pack =
-                deriv == 0 ? d1_point<P4>(u.data(), p, axis, inv_h)
-                           : d2_point<P4>(u.data(), p, axis, inv_h2);
-            const P4 bp = P4::load(beta.data() + p);
-            const auto apack =
-                upwind_point<P4>(u.data(), bp, p, axis, inv_h);
-            const auto kpack = ko_point<P4>(u.data(), p, inv_h);
-            for (int l = 0; l < lanes; ++l) {
-              ASSERT_EQ(pack[l], sweep[p + l]) << axis << " d" << deriv + 1;
-              const auto s1 =
-                  deriv == 0
-                      ? d1_point<P1>(u.data(), p + l, axis, inv_h)
-                      : d2_point<P1>(u.data(), p + l, axis, inv_h2);
-              ASSERT_EQ(pack[l], s1[0]);
-              ASSERT_EQ(apack[l], asweep[p + l]) << "upwind axis " << axis;
-              const P1 b1 = P1::load(beta.data() + p + l);
-              ASSERT_EQ(apack[l],
-                        upwind_point<P1>(u.data(), b1, p + l, axis, inv_h)[0]);
-              if (deriv == 0 && axis == 0) {
-                ASSERT_EQ(kpack[l], ko[p + l]) << "ko";
-                ASSERT_EQ(kpack[l], ko_point<P1>(u.data(), p + l, inv_h)[0]);
-              }
-            }
-          }
-    }
-  }
 }
 
 }  // namespace

@@ -1,16 +1,9 @@
 #!/usr/bin/env bash
-# Mechanical vectorization gate for the AVX2 CI leg.
-#
-#  gate 1: every loop tagged `DGR_HOT_LOOP(name)` in tools/vec_probe.cpp
-#          must be reported "loop vectorized" by -fopt-info-vec-optimized;
-#          on failure the -fopt-info-vec-missed reasons for the offending
-#          lines are printed and the script exits nonzero.
-#  gate 2: the explicit dgr::simd packs in the fused RHS kernel and the
-#          register machine must materialize as 256-bit ymm instructions
-#          (asm grep). The stencil reductions are hand-vectorized across
-#          points — the compiler must not reassociate them (bitwise
-#          determinism), so auto-vec reports cannot cover them; the asm is
-#          the proof the AVX2 backend is actually engaged.
+# Mechanical vectorization gate for the AVX2 CI leg: every loop tagged
+# `DGR_HOT_LOOP(name)` in tools/vec_probe.cpp must be reported "loop
+# vectorized" by -fopt-info-vec-optimized; on failure the
+# -fopt-info-vec-missed reasons for the offending lines are printed and the
+# script exits nonzero.
 #
 # Usage: tools/check_vectorization.sh   (from anywhere inside the repo)
 set -euo pipefail
@@ -24,7 +17,6 @@ FLAGS=(-std=c++20 -O3 -mavx2 -ffp-contract=off -DDGR_SIMD_AVX2
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-# ---- gate 1: tagged hot loops must auto-vectorize -------------------------
 probe=tools/vec_probe.cpp
 "$CXX" "${FLAGS[@]}" -fopt-info-vec-optimized -c "$probe" -o "$tmp/probe.o" \
   2> "$tmp/vec.log"
@@ -46,16 +38,5 @@ if [ "$fail" -ne 0 ]; then
     2>&1 | grep 'vec_probe\.cpp' || true
   exit 1
 fi
-
-# ---- gate 2: explicit packs must emit 256-bit ymm code --------------------
-for tu in src/codegen/fused_rhs.cpp src/codegen/machine.cpp; do
-  "$CXX" "${FLAGS[@]}" -S "$tu" -o "$tmp/out.s"
-  n=$(grep -c '%ymm' "$tmp/out.s" || true)
-  if [ "$n" -lt 16 ]; then
-    echo "FAIL: $tu emitted only $n ymm references — AVX2 packs not engaged"
-    exit 1
-  fi
-  echo "ok: $tu emits $n ymm references (256-bit AVX2 packs engaged)"
-done
 
 echo "vectorization gate passed"
