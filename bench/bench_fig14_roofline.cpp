@@ -155,8 +155,8 @@ int main(int argc, char** argv) {
     const double sec_prod = t1.seconds();
     row("staged interp (arrays)", "interp", ci, sec_interp);
     row("production bssn_rhs_patch", "production", cp, sec_prod);
-    bench::note("both host kernels sit right of the (low) host ridge:");
-    bench::note("compute bound on this machine, unlike the modeled A100.");
+    bench::note("the host peak comes from packed mul+add chains; both host");
+    bench::note("kernels are unvectorized and run far below it.");
   }
   return 0;
 }

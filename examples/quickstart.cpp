@@ -11,6 +11,7 @@
 #include <memory>
 
 #include "bssn/initial_data.hpp"
+#include "common/timer.hpp"
 #include "octree/refinement.hpp"
 #include "solver/bssn_ctx.hpp"
 
@@ -38,7 +39,10 @@ int main() {
   bssn::set_punctures(*mesh, {{1.0, bh_pos, {0, 0, 0}, {0, 0, 0}}},
                       ctx.state());
 
+  PhaseTimer constraints;
+  constraints.start();
   const auto norms0 = ctx.constraint_norms({bh_pos}, 2.0);
+  constraints.stop();
   std::printf("t = 0     : |H|_2 = %.3e  |M|_2 = %.3e (puncture excised)\n",
               norms0.ham_l2, norms0.mom_l2);
 
@@ -48,7 +52,9 @@ int main() {
               mesh->finest_spacing());
   for (int i = 0; i < 3; ++i) {
     ctx.rk4_step();
+    constraints.start();
     const auto n = ctx.constraint_norms({bh_pos}, 2.0);
+    constraints.stop();
     std::printf("t = %.4f: |H|_2 = %.3e  |M|_2 = %.3e\n", ctx.time(),
                 n.ham_l2, n.mom_l2);
   }
@@ -60,5 +66,7 @@ int main() {
       "update %.2fs\n",
       ph.unzip.total_seconds(), ph.rhs.total_seconds(),
       ph.zip.total_seconds(), ph.update.total_seconds());
+  std::printf("constraint norms: %.2fs per evaluation\n",
+              constraints.total_seconds() / 4);
   return 0;
 }

@@ -1,9 +1,6 @@
 #include "bssn/constraints.hpp"
 
-#include <cmath>
-
-#include "bssn/state.hpp"
-#include "common/error.hpp"
+#include <algorithm>
 
 namespace dgr::bssn {
 
@@ -63,12 +60,12 @@ void bssn_constraints_patch(const Real* const in[kNumVars],
         auto DAT = [&](int i, int j, int k) {
           return ws.grad_of(kAtxx + sym_idx(i, j), k)[p];
         };
+        // Hessian slots in kSecondDerivVars order: chi = 4, gt_ij = 5..10.
         auto DDCH = [&](int i, int j) {
-          return ws.hess_of(hess_slot(kChi), sym_idx(i, j))[p];
+          return ws.hess_of(4, sym_idx(i, j))[p];
         };
         auto DDGT = [&](int i, int j, int l, int m) {
-          return ws.hess_of(hess_slot(kGtxx + sym_idx(i, j)),
-                            sym_idx(l, m))[p];
+          return ws.hess_of(5 + sym_idx(i, j), sym_idx(l, m))[p];
         };
         auto DGTV = [&](int i, int j) {  // d Gt^i / dx^j
           return ws.grad_of(kGt0 + i, j)[p];
@@ -185,57 +182,6 @@ void bssn_constraints_patch(const Real* const in[kNumVars],
           mom[i * kPatchPts + p] = s;
         }
       }
-}
-
-ConstraintNorms compute_constraint_norms(
-    const mesh::Mesh& mesh, const BssnState& state, const BssnParams& params,
-    const std::vector<std::array<Real, 3>>& excise_centers,
-    Real excise_radius) {
-  const auto in = state.cptrs();
-  const std::size_t noct = mesh.num_octants();
-  std::vector<Real> patches(kNumVars * kPatchPts);
-  std::vector<Real> ham(kPatchPts), mom(3 * kPatchPts);
-  DerivWorkspace ws;
-  ConstraintNorms norms;
-  Real ham_sq = 0, mom_sq = 0;
-  std::size_t npts = 0;
-
-  for (OctIndex e = 0; e < static_cast<OctIndex>(noct); ++e) {
-    mesh.unzip(in.data(), kNumVars, e, e + 1, patches.data());
-    const Real* pin[kNumVars];
-    for (int v = 0; v < kNumVars; ++v) pin[v] = &patches[v * kPatchPts];
-    const mesh::PatchGeom geom = mesh.patch_geom(e);
-    bssn_constraints_patch(pin, geom, params, ws, ham.data(), mom.data());
-    for (int kk = kPad; kk < kPad + kR; ++kk)
-      for (int jj = kPad; jj < kPad + kR; ++jj)
-        for (int ii = kPad; ii < kPad + kR; ++ii) {
-          const Real x = geom.origin[0] + ii * geom.h;
-          const Real y = geom.origin[1] + jj * geom.h;
-          const Real z = geom.origin[2] + kk * geom.h;
-          bool excised = false;
-          for (const auto& c : excise_centers) {
-            const Real dx = x - c[0], dy = y - c[1], dz = z - c[2];
-            if (dx * dx + dy * dy + dz * dz < excise_radius * excise_radius)
-              excised = true;
-          }
-          if (excised) continue;
-          const int p = patch_idx(ii, jj, kk);
-          const Real h2 = ham[p] * ham[p];
-          Real m2 = 0;
-          for (int i = 0; i < 3; ++i)
-            m2 += mom[i * kPatchPts + p] * mom[i * kPatchPts + p];
-          ham_sq += h2;
-          mom_sq += m2;
-          norms.ham_linf = std::max(norms.ham_linf, std::abs(ham[p]));
-          norms.mom_linf = std::max(norms.mom_linf, std::sqrt(m2));
-          ++npts;
-        }
-  }
-  if (npts > 0) {
-    norms.ham_l2 = std::sqrt(ham_sq / npts);
-    norms.mom_l2 = std::sqrt(mom_sq / npts);
-  }
-  return norms;
 }
 
 }  // namespace dgr::bssn

@@ -3,6 +3,9 @@
 /// \brief Hamiltonian and momentum constraint evaluation — the accuracy
 /// diagnostics used in §V-C (and by the error-driven regrid criterion).
 
+#include <array>
+#include <vector>
+
 #include "bssn/rhs.hpp"
 #include "bssn/vars.hpp"
 #include "common/types.hpp"
@@ -36,6 +39,12 @@ struct ConstraintNorms {
 
 class BssnState;
 
+/// Whole-mesh norms, as the chunked exec_space diagnostic sweep on the host
+/// space with transient scratch. Defined in exec_space/bssn_sweeps.cpp
+/// (callers link dgr_exec_space); solver::BssnCtx::constraint_norms runs
+/// the same sweep in the solver's idle pipeline buffers. The L2 sums are
+/// folded per octant in a fixed tree, so they do not depend on chunking,
+/// backend or thread count.
 ConstraintNorms compute_constraint_norms(
     const mesh::Mesh& mesh, const BssnState& state, const BssnParams& params,
     const std::vector<std::array<Real, 3>>& excise_centers = {},

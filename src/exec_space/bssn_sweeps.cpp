@@ -1,8 +1,10 @@
 #include "exec_space/bssn_sweeps.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/error.hpp"
+#include "gw/psi4.hpp"
 
 namespace dgr::exec_space {
 
@@ -278,4 +280,180 @@ void subcycle_step_depth(const ExecSpace& es, const mesh::SubcycleIndex& idx,
   }
 }
 
+namespace {
+
+/// The one diagnostic sweep: for each chunk of scratch.chunk_octants
+/// octants, unzip the chunk, then run body(e, o, pin, ws) on every octant
+/// e (o = its index in the chunk, pin its kNumVars input patches) in a
+/// team_for over the chunk, with the executing lane's workspace.
+template <class OctBody>
+void sweep_diagnostic(const ExecSpace& es, const mesh::Mesh& mesh,
+                      const BssnState& state, const DiagScratch& scratch,
+                      const char* label, OctBody&& body) {
+  DGR_CHECK(scratch.chunk_octants > 0 && scratch.patch_in &&
+            scratch.patch_out && scratch.ws);
+  std::vector<bssn::DerivWorkspace>& ws = *scratch.ws;
+  if (static_cast<int>(ws.size()) < es.max_lanes()) ws.resize(es.max_lanes());
+  const auto in = state.cptrs();
+  const OctIndex n = static_cast<OctIndex>(mesh.num_octants());
+  for (OctIndex begin = 0; begin < n; begin += scratch.chunk_octants) {
+    const OctIndex end = std::min<OctIndex>(begin + scratch.chunk_octants, n);
+    sweep_octant_to_patch(es, mesh, in.data(), begin, end, scratch.patch_in,
+                          mesh::UnzipMethod::kLoopOverOctants, nullptr);
+    es.team_for(
+        LaunchSpec{label, label, std::uint64_t(end - begin), 0}, end - begin,
+        /*grain=*/1, nullptr,
+        [&](const TeamMember& tm, std::int64_t ob, std::int64_t oe,
+            OpCounts&) {
+          bssn::DerivWorkspace& lane_ws =
+              ws[static_cast<std::size_t>(tm.lane())];
+          for (std::int64_t o = ob; o < oe; ++o) {
+            const Real* pin[kNumVars];
+            for (int v = 0; v < kNumVars; ++v)
+              pin[v] = scratch.patch_in +
+                       patch_offset(o, v, kNumVars, kPatchPts);
+            body(begin + static_cast<OctIndex>(o), o, pin, lane_ws);
+          }
+        });
+  }
+}
+
+/// One octant's (or, folded, the mesh's) constraint-norm partial.
+struct ConstraintPartial {
+  Real ham_sq = 0;
+  Real mom_sq = 0;
+  std::size_t npts = 0;
+  Real ham_linf = 0;
+  Real mom_linf = 0;
+};
+
+}  // namespace
+
+void sweep_psi4_field(const ExecSpace& es, const mesh::Mesh& mesh,
+                      const BssnState& state, const bssn::BssnParams& params,
+                      const DiagScratch& scratch, Real* re, Real* im) {
+  Real* const outs[2] = {re, im};
+  sweep_diagnostic(
+      es, mesh, state, scratch, "psi4",
+      [&](OctIndex e, std::int64_t o, const Real* const* pin,
+          bssn::DerivWorkspace& ws) {
+        Real* pre = scratch.patch_out + patch_offset(o, 0, 2, kPatchPts);
+        Real* pim = scratch.patch_out + patch_offset(o, 1, 2, kPatchPts);
+        gw::psi4_patch(pin, mesh.patch_geom(e), params, ws, pre, pim);
+        mesh.zip(pre, 2, e, e + 1, outs);
+      });
+}
+
+bssn::ConstraintNorms sweep_constraint_norms(
+    const ExecSpace& es, const mesh::Mesh& mesh, const BssnState& state,
+    const bssn::BssnParams& params, const DiagScratch& scratch,
+    const std::vector<std::array<Real, 3>>& excise_centers,
+    Real excise_radius) {
+  using mesh::kPad;
+  using mesh::kR;
+  std::vector<ConstraintPartial> part(mesh.num_octants());
+  sweep_diagnostic(
+      es, mesh, state, scratch, "constraints",
+      [&](OctIndex e, std::int64_t o, const Real* const* pin,
+          bssn::DerivWorkspace& ws) {
+        Real* ham = scratch.patch_out +
+                    patch_offset(o, 0, kDiagOutVars, kPatchPts);
+        Real* mom = ham + kPatchPts;
+        const mesh::PatchGeom geom = mesh.patch_geom(e);
+        bssn::bssn_constraints_patch(pin, geom, params, ws, ham, mom);
+        ConstraintPartial s;  // local: octant slots share cache lines
+        for (int kk = kPad; kk < kPad + kR; ++kk)
+          for (int jj = kPad; jj < kPad + kR; ++jj)
+            for (int ii = kPad; ii < kPad + kR; ++ii) {
+              const Real x = geom.origin[0] + ii * geom.h;
+              const Real y = geom.origin[1] + jj * geom.h;
+              const Real z = geom.origin[2] + kk * geom.h;
+              bool excised = false;
+              for (const auto& c : excise_centers) {
+                const Real dx = x - c[0], dy = y - c[1], dz = z - c[2];
+                if (dx * dx + dy * dy + dz * dz <
+                    excise_radius * excise_radius)
+                  excised = true;
+              }
+              if (excised) continue;
+              const int p = mesh::patch_idx(ii, jj, kk);
+              Real m2 = 0;
+              for (int i = 0; i < 3; ++i)
+                m2 += mom[i * kPatchPts + p] * mom[i * kPatchPts + p];
+              s.ham_sq += ham[p] * ham[p];
+              s.mom_sq += m2;
+              s.ham_linf = std::max(s.ham_linf, std::abs(ham[p]));
+              s.mom_linf = std::max(s.mom_linf, std::sqrt(m2));
+              ++s.npts;
+            }
+        part[static_cast<std::size_t>(e)] = s;
+      });
+  const ConstraintPartial total = tree_fold(
+      part, ConstraintPartial{},
+      [](const ConstraintPartial& a, const ConstraintPartial& b) {
+        return ConstraintPartial{a.ham_sq + b.ham_sq, a.mom_sq + b.mom_sq,
+                                 a.npts + b.npts,
+                                 std::max(a.ham_linf, b.ham_linf),
+                                 std::max(a.mom_linf, b.mom_linf)};
+      });
+  bssn::ConstraintNorms norms;
+  norms.ham_linf = total.ham_linf;
+  norms.mom_linf = total.mom_linf;
+  if (total.npts > 0) {
+    norms.ham_l2 = std::sqrt(total.ham_sq / total.npts);
+    norms.mom_l2 = std::sqrt(total.mom_sq / total.npts);
+  }
+  return norms;
+}
+
 }  // namespace dgr::exec_space
+
+// The whole-mesh diagnostics of gw/psi4.hpp and bssn/constraints.hpp: the
+// sweeps above on the host space, in transient scratch of their own.
+namespace dgr {
+
+namespace {
+
+/// Chunk size of the transient scratch: the solver's default pipeline
+/// chunk, or the whole mesh when it is smaller.
+constexpr OctIndex kDiagChunkOctants = 64;
+
+/// Owns a DiagScratch's buffers for one diagnostic call.
+struct OwnedDiagScratch {
+  std::vector<Real> patch_in, patch_out;
+  std::vector<bssn::DerivWorkspace> ws;
+  exec_space::DiagScratch view;
+
+  explicit OwnedDiagScratch(const mesh::Mesh& mesh) {
+    const int chunk = static_cast<int>(std::min<OctIndex>(
+        kDiagChunkOctants,
+        std::max<OctIndex>(1, static_cast<OctIndex>(mesh.num_octants()))));
+    patch_in.resize(std::size_t(chunk) * bssn::kNumVars * mesh::kPatchPts);
+    patch_out.resize(std::size_t(chunk) * exec_space::kDiagOutVars *
+                     mesh::kPatchPts);
+    view = {chunk, patch_in.data(), patch_out.data(), &ws};
+  }
+};
+
+}  // namespace
+
+void gw::compute_psi4_field(const mesh::Mesh& mesh,
+                            const bssn::BssnState& state,
+                            const bssn::BssnParams& params, Real* re,
+                            Real* im) {
+  OwnedDiagScratch s(mesh);
+  exec_space::sweep_psi4_field(exec_space::ExecSpace::host(), mesh, state,
+                               params, s.view, re, im);
+}
+
+bssn::ConstraintNorms bssn::compute_constraint_norms(
+    const mesh::Mesh& mesh, const BssnState& state, const BssnParams& params,
+    const std::vector<std::array<Real, 3>>& excise_centers,
+    Real excise_radius) {
+  OwnedDiagScratch s(mesh);
+  return exec_space::sweep_constraint_norms(exec_space::ExecSpace::host(),
+                                            mesh, state, params, s.view,
+                                            excise_centers, excise_radius);
+}
+
+}  // namespace dgr

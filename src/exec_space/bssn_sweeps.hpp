@@ -13,6 +13,8 @@
 ///   RK4 AXPY                  sweep_rk4_axpy
 ///   subcycle stage fill/save/update
 ///                             subcycle_step_depth + sweep_dense_save_all
+///   diagnostics (psi4 field, constraint norms)
+///                             sweep_psi4_field + sweep_constraint_norms
 ///
 /// Every body charges its OpCounts slot the way the simgpu launches always
 /// did; host callers that historically did not accumulate counts for a
@@ -28,12 +30,15 @@
 /// by octant (disjoint patches / owner-DOF writes), the state-wide AXPY
 /// and subcycle sweeps split by variable (whole fields per chunk keep
 /// writes disjoint and per-element arithmetic identical to a serial
-/// sweep).
+/// sweep), and the diagnostic point kernels split by octant (each octant
+/// writes its own zipped DOFs or its own norm partial).
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
+#include "bssn/constraints.hpp"
 #include "bssn/rhs.hpp"
 #include "bssn/state.hpp"
 #include "common/counters.hpp"
@@ -130,5 +135,51 @@ void subcycle_step_depth(const ExecSpace& es, const mesh::SubcycleIndex& idx,
                          OpCounts* counts,
                          const std::function<void()>& update_begin,
                          const std::function<void()>& update_end);
+
+// ---------------------------------------------------- diagnostic family --
+
+/// Output patches per octant a diagnostic sweep writes to
+/// DiagScratch::patch_out: {re, im} for psi4, {H, M^x, M^y, M^z} for the
+/// constraints.
+inline constexpr int kDiagOutVars = 4;
+
+/// The buffers a diagnostic sweep runs in, sized for `chunk_octants`
+/// octants: `patch_in` holds chunk_octants * kNumVars patches (the unzip
+/// target), `patch_out` chunk_octants * kDiagOutVars patches, and `ws` at
+/// least one derivative workspace per lane (grown if short). The solver
+/// lends its RhsPipeline's buffers, idle between steps, so diagnostics add
+/// no memory to an evolution; gw::compute_psi4_field and
+/// bssn::compute_constraint_norms own transient ones.
+struct DiagScratch {
+  int chunk_octants = 0;
+  Real* patch_in = nullptr;
+  Real* patch_out = nullptr;
+  std::vector<bssn::DerivWorkspace>* ws = nullptr;
+};
+
+/// Psi4 of `state` as the zipped scalar fields `re`, `im` (num_dofs each).
+/// Per chunk: sweep_octant_to_patch, then a team_for over the chunk's
+/// octants running gw::psi4_patch with the lane's workspace and zipping
+/// its {re, im} patches back. Kernel and host label "psi4". Bitwise
+/// identical for every chunk size, backend and thread count: unzip fills
+/// each patch independently of the chunk's other octants, and zip writes
+/// each DOF from its owner octant only.
+void sweep_psi4_field(const ExecSpace& es, const mesh::Mesh& mesh,
+                      const bssn::BssnState& state,
+                      const bssn::BssnParams& params,
+                      const DiagScratch& scratch, Real* re, Real* im);
+
+/// Hamiltonian and momentum constraint norms of `state`, skipping points
+/// within `excise_radius` of any of `excise_centers`. Same chunked sweep
+/// as sweep_psi4_field with bssn::bssn_constraints_patch as the point
+/// kernel (kernel and host label "constraints"); each octant writes one
+/// partial (sum H^2, sum |M|^2, point count, max |H|, max |M|) to its own
+/// slot, and the slots are folded once, after all chunks, by tree_fold —
+/// so the norms do not depend on chunk size, backend or thread count.
+bssn::ConstraintNorms sweep_constraint_norms(
+    const ExecSpace& es, const mesh::Mesh& mesh, const bssn::BssnState& state,
+    const bssn::BssnParams& params, const DiagScratch& scratch,
+    const std::vector<std::array<Real, 3>>& excise_centers,
+    Real excise_radius);
 
 }  // namespace dgr::exec_space

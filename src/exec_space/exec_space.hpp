@@ -116,6 +116,25 @@ class HostSlots {
 
 }  // namespace detail
 
+/// The fixed pairwise tree every deterministic reduction folds its slots
+/// with, identical to exec::parallel_reduce: (s0+s1)+(s2+s3)+... over slot
+/// order. Folds `slot` in place and returns the total (`identity` when
+/// empty), so the result depends only on the slot values and their order.
+template <class T, class Join>
+T tree_fold(std::vector<T>& slot, T identity, Join&& join) {
+  const std::int64_t n = static_cast<std::int64_t>(slot.size());
+  if (n == 0) return identity;
+  for (std::int64_t width = n; width > 1; width = (width + 1) / 2) {
+    for (std::int64_t i = 0; 2 * i < width; ++i)
+      slot[static_cast<std::size_t>(i)] =
+          (2 * i + 1 < width)
+              ? join(slot[static_cast<std::size_t>(2 * i)],
+                     slot[static_cast<std::size_t>(2 * i + 1)])
+              : slot[static_cast<std::size_t>(2 * i)];
+  }
+  return slot[0];
+}
+
 /// A backend handle: copyable, trivially cheap, safe to hold by value. The
 /// simgpu flavor borrows its GpuRuntime (the runtime must outlive the
 /// space).
@@ -190,8 +209,8 @@ class ExecSpace {
   }
 
   /// Deterministic reduction: body(chunk_begin, chunk_end) -> T per fixed
-  /// chunk, combined by join in a fixed pairwise tree over the chunk slots
-  /// — bitwise independent of backend and thread count. `identity` seeds
+  /// chunk, combined by join in tree_fold over the chunk slots — bitwise
+  /// independent of backend and thread count. `identity` seeds
   /// empty ranges. On the simgpu backend the sweep is recorded as a kernel
   /// launch (bodies may charge no counts; pass a spec with blocks for the
   /// model).
@@ -224,17 +243,7 @@ class ExecSpace {
                           });
         break;
     }
-    // Fixed pairwise tree over chunk order — identical to
-    // exec::parallel_reduce: (s0+s1)+(s2+s3)+...
-    for (std::int64_t width = nc; width > 1; width = (width + 1) / 2) {
-      for (std::int64_t i = 0; 2 * i < width; ++i)
-        slot[static_cast<std::size_t>(i)] =
-            (2 * i + 1 < width)
-                ? join(slot[static_cast<std::size_t>(2 * i)],
-                       slot[static_cast<std::size_t>(2 * i + 1)])
-                : slot[static_cast<std::size_t>(2 * i)];
-    }
-    return slot[0];
+    return tree_fold(slot, identity, join);
   }
 
  private:

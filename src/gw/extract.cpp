@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "gw/psi4.hpp"
 #include "mesh/sampling.hpp"
 
 namespace dgr::gw {
@@ -51,14 +50,6 @@ std::vector<SphereModes> WaveExtractor::extract(const mesh::Mesh& mesh,
     out.push_back(decompose(samples, r));
   }
   return out;
-}
-
-std::vector<SphereModes> WaveExtractor::extract_from_state(
-    const mesh::Mesh& mesh, const bssn::BssnState& state,
-    const bssn::BssnParams& params) const {
-  std::vector<Real> re(mesh.num_dofs()), im(mesh.num_dofs());
-  compute_psi4_field(mesh, state, params, re.data(), im.data());
-  return extract(mesh, re.data(), im.data());
 }
 
 SphereModes WaveExtractor::decompose(const std::vector<Complex>& samples,

@@ -11,6 +11,7 @@
 
 #include "bssn/rhs.hpp"
 #include "bssn/state.hpp"
+#include "gw/psi4.hpp"
 #include "gw/quadrature.hpp"
 #include "gw/swsh.hpp"
 #include "mesh/mesh.hpp"
@@ -47,10 +48,15 @@ class WaveExtractor {
   std::vector<SphereModes> extract(const mesh::Mesh& mesh, const Real* psi4_re,
                                    const Real* psi4_im) const;
 
-  /// Convenience: compute Psi4 from the state, then extract.
+  /// Convenience: compute Psi4 from the state (gw::compute_psi4_field, so
+  /// callers link dgr_exec_space), then extract.
   std::vector<SphereModes> extract_from_state(
       const mesh::Mesh& mesh, const bssn::BssnState& state,
-      const bssn::BssnParams& params) const;
+      const bssn::BssnParams& params) const {
+    std::vector<Real> re(mesh.num_dofs()), im(mesh.num_dofs());
+    compute_psi4_field(mesh, state, params, re.data(), im.data());
+    return extract(mesh, re.data(), im.data());
+  }
 
   /// Decompose an analytic function on the unit sphere (tests).
   SphereModes decompose(const std::vector<Complex>& samples,

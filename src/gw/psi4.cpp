@@ -1,14 +1,12 @@
 #include "gw/psi4.hpp"
 
+#include <algorithm>
 #include <cmath>
-
-#include "common/error.hpp"
 
 namespace dgr::gw {
 
 using namespace dgr::bssn;
 using mesh::kPad;
-using mesh::kPatchPts;
 using mesh::kR;
 using mesh::patch_idx;
 
@@ -286,24 +284,6 @@ void psi4_patch(const Real* const in[kNumVars], const mesh::PatchGeom& geom,
         out_re[p] = re;
         out_im[p] = im;
       }
-}
-
-void compute_psi4_field(const mesh::Mesh& mesh, const BssnState& state,
-                        const BssnParams& params, Real* re, Real* im) {
-  const auto in = state.cptrs();
-  std::vector<Real> patches(std::size_t(kNumVars) * kPatchPts);
-  std::vector<Real> pre(kPatchPts), pim(kPatchPts);
-  DerivWorkspace ws;
-  for (OctIndex e = 0; e < static_cast<OctIndex>(mesh.num_octants()); ++e) {
-    mesh.unzip(in.data(), kNumVars, e, e + 1, patches.data());
-    const Real* pin[kNumVars];
-    for (int v = 0; v < kNumVars; ++v) pin[v] = &patches[v * kPatchPts];
-    psi4_patch(pin, mesh.patch_geom(e), params, ws, pre.data(), pim.data());
-    Real* outs_re[1] = {re};
-    Real* outs_im[1] = {im};
-    mesh.zip(pre.data(), 1, e, e + 1, outs_re);
-    mesh.zip(pim.data(), 1, e, e + 1, outs_im);
-  }
 }
 
 }  // namespace dgr::gw

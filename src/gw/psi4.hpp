@@ -29,7 +29,11 @@ void psi4_patch(const Real* const in[bssn::kNumVars],
                 bssn::DerivWorkspace& ws, Real* out_re, Real* out_im,
                 bool run_derivs = true, Real r_min = 1e-8);
 
-/// Compute Psi4 as a pair of zipped scalar fields over the whole mesh.
+/// Compute Psi4 as a pair of zipped scalar fields over the whole mesh, as
+/// the chunked exec_space diagnostic sweep on the host space with
+/// transient scratch. Defined in exec_space/bssn_sweeps.cpp (callers link
+/// dgr_exec_space); solver::BssnCtx::psi4_field runs the same sweep in the
+/// solver's idle pipeline buffers.
 void compute_psi4_field(const mesh::Mesh& mesh, const bssn::BssnState& state,
                         const bssn::BssnParams& params, Real* re, Real* im);
 

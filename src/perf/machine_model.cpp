@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "common/timer.hpp"
+#include "simd/simd.hpp"
 
 namespace dgr::perf {
 
@@ -26,8 +27,8 @@ MachineModel frontera_node() {
 
 namespace {
 
-/// One-shot microbenchmarks: a dependent-FMA loop for tau_f and a large
-/// array triad sweep for tau_m.
+/// One-shot microbenchmarks: a throughput-bound multiply-add loop for
+/// tau_f and a large array triad sweep for tau_m.
 MachineModel measure_host() {
   MachineModel m;
   m.name = "calibrated host";
@@ -36,21 +37,25 @@ MachineModel measure_host() {
   m.ell = 0.25;
   m.h2d_bw = 0;
   {
-    // Independent chains so the core's FMA pipes are busy.
-    volatile double sink;
-    double a0 = 1.0, a1 = 1.1, a2 = 1.2, a3 = 1.3;
-    const double b = 1.0000001, c = 1e-9;
+    // kAcc independent a = a*b + c chains over native-width packs: one
+    // chain step is a multiply then a dependent add (no contraction), ~8
+    // cycles of latency, so 12 chains keep two FP ports issuing every
+    // cycle — the loop measures throughput, not latency.
+    using Pack = simd<double, kSimdNativeWidth>;
+    constexpr int kAcc = 12;
+    Pack acc[kAcc];
+    for (int k = 0; k < kAcc; ++k) acc[k] = Pack::broadcast(1.0 + 0.01 * k);
+    const Pack b = Pack::broadcast(1.0000001), c = Pack::broadcast(1e-9);
     const int iters = 4'000'000;
     WallTimer t;
-    for (int i = 0; i < iters; ++i) {
-      a0 = a0 * b + c;
-      a1 = a1 * b + c;
-      a2 = a2 * b + c;
-      a3 = a3 * b + c;
-    }
-    sink = a0 + a1 + a2 + a3;
+    for (int i = 0; i < iters; ++i)
+      for (int k = 0; k < kAcc; ++k) acc[k] = acc[k] * b + c;
+    const double seconds = t.seconds();
+    double s = 0;
+    for (int k = 0; k < kAcc; ++k) s += acc[k][0];
+    volatile double sink = s;
     (void)sink;
-    m.tau_f = t.seconds() / (8.0 * iters);  // 2 flops x 4 chains
+    m.tau_f = seconds / (2.0 * Pack::width * kAcc * iters);
   }
   {
     const std::size_t n = 8'000'000;  // 64 MB per array: beats the caches

@@ -86,6 +86,25 @@ void RhsPipeline::compute(const BssnState& u, BssnState& rhs,
   }
 }
 
+exec_space::DiagScratch RhsPipeline::diag_scratch() {
+  static_assert(exec_space::kDiagOutVars <= kNumVars,
+                "diagnostic outputs must fit in the RHS output buffer");
+  return {config_.chunk_octants, patch_in_.data(), patch_out_.data(), &ws_};
+}
+
+void RhsPipeline::psi4_field(const BssnState& u, Real* re, Real* im) {
+  exec_space::sweep_psi4_field(space_, *mesh_, u, config_.bssn,
+                               diag_scratch(), re, im);
+}
+
+bssn::ConstraintNorms RhsPipeline::constraint_norms(
+    const BssnState& u, const std::vector<std::array<Real, 3>>& excise,
+    Real excise_radius) {
+  return exec_space::sweep_constraint_norms(space_, *mesh_, u, config_.bssn,
+                                            diag_scratch(), excise,
+                                            excise_radius);
+}
+
 BssnCtx::BssnCtx(std::shared_ptr<mesh::Mesh> mesh, SolverConfig config,
                  ExecSpace space)
     : mesh_(std::move(mesh)),
@@ -155,9 +174,12 @@ void BssnCtx::evolve_steps(int n) {
 }
 
 bssn::ConstraintNorms BssnCtx::constraint_norms(
-    const std::vector<std::array<Real, 3>>& excise, Real excise_radius) const {
-  return bssn::compute_constraint_norms(*mesh_, state_, config_.bssn, excise,
-                                        excise_radius);
+    const std::vector<std::array<Real, 3>>& excise, Real excise_radius) {
+  return pipeline_.constraint_norms(state_, excise, excise_radius);
+}
+
+void BssnCtx::psi4_field(Real* re, Real* im) {
+  pipeline_.psi4_field(state_, re, im);
 }
 
 void BssnCtx::remesh(std::shared_ptr<mesh::Mesh> new_mesh) {

@@ -18,6 +18,10 @@
 #include "mesh/mesh.hpp"
 #include "mesh/subcycle_index.hpp"
 
+namespace dgr::exec_space {
+struct DiagScratch;
+}  // namespace dgr::exec_space
+
 namespace dgr::solver {
 
 struct SolverConfig {
@@ -77,7 +81,18 @@ class RhsPipeline {
                const std::vector<OctRange>& runs, PhaseBreakdown* phases,
                OpCounts* counts);
 
+  /// Psi4 of `u` into the zipped fields re/im, and the constraint norms of
+  /// `u`: the exec_space diagnostic sweeps on this pipeline's space, run in
+  /// its patch buffers and workspaces (idle between RHS evaluations), so
+  /// diagnostics allocate no patch scratch of their own.
+  void psi4_field(const bssn::BssnState& u, Real* re, Real* im);
+  bssn::ConstraintNorms constraint_norms(
+      const bssn::BssnState& u,
+      const std::vector<std::array<Real, 3>>& excise, Real excise_radius);
+
  private:
+  exec_space::DiagScratch diag_scratch();
+
   std::shared_ptr<const mesh::Mesh> mesh_;
   SolverConfig config_;
   exec_space::ExecSpace space_;
@@ -130,10 +145,14 @@ class BssnCtx {
   /// Advance n steps.
   void evolve_steps(int n);
 
-  /// Constraint norms of the current state.
+  /// Constraint norms of the current state (RhsPipeline::constraint_norms).
   bssn::ConstraintNorms constraint_norms(
       const std::vector<std::array<Real, 3>>& excise = {},
-      Real excise_radius = 0.0) const;
+      Real excise_radius = 0.0);
+
+  /// Psi4 of the current state as zipped fields re/im, num_dofs() each
+  /// (RhsPipeline::psi4_field).
+  void psi4_field(Real* re, Real* im);
 
   const PhaseBreakdown& breakdown() const { return phases_; }
   PhaseBreakdown& breakdown() { return phases_; }

@@ -37,7 +37,7 @@ EvolutionResult evolve(BssnCtx& ctx, const EvolutionConfig& config,
   // Per-step observability: step/regrid counters, mesh size gauges,
   // cumulative slow-memory traffic, and (opt-in) constraint norms. All of
   // it is a no-op when no MetricsRegistry is installed.
-  const auto record_step_metrics = [&](const BssnCtx& ctx) {
+  const auto record_step_metrics = [&](BssnCtx& ctx) {
     obs::MetricsRegistry* m = obs::metrics();
     if (!m) return;
     m->add("solver.steps");
@@ -48,14 +48,30 @@ EvolutionResult evolve(BssnCtx& ctx, const EvolutionConfig& config,
     m->set("solver.bytes_written", double(ctx.op_counts().bytes_written));
     if (config.metrics_constraints_every > 0 &&
         result.steps % config.metrics_constraints_every == 0) {
-      const auto norms = ctx.constraint_norms();
+      bssn::ConstraintNorms norms;
+      {
+        obs::ScopedSpan constraints_span("constraints", "solver");
+        norms = ctx.constraint_norms();
+      }
       m->observe("solver.ham_l2", norms.ham_l2);
       m->observe("solver.ham_linf", norms.ham_linf);
       m->observe("solver.mom_l2", norms.mom_l2);
     }
   };
 
+  // Wave extraction (Algorithm 1 line 9): psi4 through the context, which
+  // runs the diagnostic sweep in its pipeline's idle buffers, then the
+  // sphere decomposition of every extraction radius.
   std::optional<gw::WaveExtractor> extractor;
+  const auto extract_waves = [&]() {
+    obs::ScopedSpan extract_span("wave-extract", "solver");
+    const std::size_t nd = ctx.mesh().num_dofs();
+    std::vector<Real> re(nd), im(nd);
+    ctx.psi4_field(re.data(), im.data());
+    const auto modes = extractor->extract(ctx.mesh(), re.data(), im.data());
+    for (std::size_t r = 0; r < modes.size(); ++r)
+      result.waves22[r].append(ctx.time(), modes[r].mode(2, 2));
+  };
   if (!config.extraction_radii.empty()) {
     extractor.emplace(config.extraction_radii, config.lmax);
     for (Real r : config.extraction_radii) {
@@ -81,13 +97,8 @@ EvolutionResult evolve(BssnCtx& ctx, const EvolutionConfig& config,
         ++result.steps;
         record_step_metrics(ctx);
         if (tracker) tracker->step(ctx.mesh(), ctx.state(), dt);
-        if (extractor && result.steps % config.extract_every == 0) {
-          obs::ScopedSpan extract_span("wave-extract", "solver");
-          const auto modes = extractor->extract_from_state(
-              ctx.mesh(), ctx.state(), ctx.config().bssn);
-          for (std::size_t r = 0; r < modes.size(); ++r)
-            result.waves22[r].append(ctx.time(), modes[r].mode(2, 2));
-        }
+        if (extractor && result.steps % config.extract_every == 0)
+          extract_waves();
         if (on_step) on_step(ctx);
       }
       // Re-grid (Algorithm 1 line 3): the host-side synchronization point.
@@ -145,13 +156,8 @@ EvolutionResult evolve(BssnCtx& ctx, const EvolutionConfig& config,
       }
       record_step_metrics(ctx);
       if (tracker) tracker->step(ctx.mesh(), ctx.state(), tracker_dt);
-      if (extractor && result.steps % config.extract_every == 0) {
-        obs::ScopedSpan extract_span("wave-extract", "solver");
-        const auto modes = extractor->extract_from_state(
-            ctx.mesh(), ctx.state(), ctx.config().bssn);
-        for (std::size_t r = 0; r < modes.size(); ++r)
-          result.waves22[r].append(ctx.time(), modes[r].mode(2, 2));
-      }
+      if (extractor && result.steps % config.extract_every == 0)
+        extract_waves();
       if (on_step) on_step(ctx);
     }
     if (ctx.time() < config.t_end - 1e-12) {

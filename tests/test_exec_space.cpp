@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -299,6 +300,128 @@ TEST(ExecSpaceMatrix, SubcycleCycleIsBitwiseIdenticalAcrossBackends) {
           << exec_space::backend_name(b) << " threads " << threads;
     }
   exec::ThreadPool::set_global_threads(1);
+}
+
+// ------------------------------------------------ diagnostic sweeps --
+
+/// The puncture mesh one serial RK4 step in: psi4 and both constraints are
+/// nonzero throughout, and the excision ball cuts through octants.
+struct DiagCase {
+  std::shared_ptr<Mesh> mesh;
+  BssnState state;
+  bssn::BssnParams params;
+};
+
+const DiagCase& diag_case() {
+  static const DiagCase c = [] {
+    exec::ThreadPool::set_global_threads(1);
+    DiagCase d;
+    d.mesh = puncture_mesh();
+    solver::SolverConfig scfg;
+    scfg.bssn.ko_sigma = 0.3;
+    solver::BssnCtx ctx(d.mesh, scfg, ExecSpace::serial());
+    init_puncture(*d.mesh, ctx.state());
+    ctx.rk4_step();
+    d.state = ctx.state();
+    d.params = scfg.bssn;
+    return d;
+  }();
+  return c;
+}
+
+constexpr int kDiagChunks[] = {1, 7, 64};
+
+/// A pipeline on backend `b` with `chunk` octants per chunk: the solver
+/// path, whose diagnostics run in the pipeline's own buffers.
+solver::RhsPipeline diag_pipeline(Backend b, int threads, int chunk,
+                                  simgpu::GpuRuntime& rt) {
+  exec::ThreadPool::set_global_threads(threads);
+  const DiagCase& c = diag_case();
+  solver::SolverConfig scfg;
+  scfg.bssn = c.params;
+  scfg.chunk_octants = chunk;
+  return solver::RhsPipeline(c.mesh, scfg, make_space(b, rt));
+}
+
+std::vector<Real> psi4_on(Backend b, int threads, int chunk) {
+  simgpu::GpuRuntime rt;
+  solver::RhsPipeline pipe = diag_pipeline(b, threads, chunk, rt);
+  const DiagCase& c = diag_case();
+  const std::size_t nd = c.mesh->num_dofs();
+  std::vector<Real> f(2 * nd);
+  pipe.psi4_field(c.state, f.data(), f.data() + nd);
+  return f;
+}
+
+bssn::ConstraintNorms norms_on(Backend b, int threads, int chunk) {
+  simgpu::GpuRuntime rt;
+  solver::RhsPipeline pipe = diag_pipeline(b, threads, chunk, rt);
+  return pipe.constraint_norms(diag_case().state, {{0.05, 0.03, 0.02}}, 2.0);
+}
+
+bool bitwise_equal(const bssn::ConstraintNorms& a,
+                   const bssn::ConstraintNorms& b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(ExecSpaceDiagnostics, Psi4FieldIsBitwiseIdenticalAcrossBackendsAndChunks) {
+  // Chunk 1 on the serial backend is the order of the per-octant loop the
+  // sweep replaced.
+  const std::vector<Real> ref = psi4_on(Backend::kSerial, 1, 1);
+  bool nonzero = false;
+  for (Real v : ref) nonzero = nonzero || v != 0;
+  EXPECT_TRUE(nonzero);
+  for (Backend b : kBackends)
+    for (int threads : {1, 4})
+      for (int chunk : kDiagChunks) {
+        const std::vector<Real> f = psi4_on(b, threads, chunk);
+        EXPECT_EQ(std::memcmp(f.data(), ref.data(), ref.size() * sizeof(Real)),
+                  0)
+            << exec_space::backend_name(b) << " threads " << threads
+            << " chunk " << chunk;
+      }
+  exec::ThreadPool::set_global_threads(1);
+}
+
+TEST(ExecSpaceDiagnostics, ConstraintNormsAreBitwiseIdenticalAcrossBackendsAndChunks) {
+  const bssn::ConstraintNorms ref = norms_on(Backend::kSerial, 1, 1);
+  for (Backend b : kBackends)
+    for (int threads : {1, 4})
+      for (int chunk : kDiagChunks)
+        EXPECT_TRUE(bitwise_equal(norms_on(b, threads, chunk), ref))
+            << exec_space::backend_name(b) << " threads " << threads
+            << " chunk " << chunk;
+  exec::ThreadPool::set_global_threads(1);
+}
+
+TEST(ExecSpaceDiagnostics, ConstraintNormsMatchTheSerialPerOctantLoop) {
+  // Values of the serial per-octant loop the sweep replaced, which summed
+  // the squares point by point across the whole mesh. The maxima do not
+  // depend on the order; the L2 sums, now folded per octant in a fixed
+  // tree, move in the last bits only.
+  struct Pin {
+    Real excise_radius;
+    bssn::ConstraintNorms n;
+  };
+  const Pin pins[] = {
+      {0.0,
+       {0x1.12fff6b498bcdp-6, 0x1.209680b009b37p+1, 0x1.c4d3e08f16ff7p-12,
+        0x1.e9dec76aba776p-6}},
+      {2.0,
+       {0x1.865d28e6ee51p-13, 0x1.83846855152b1p-10, 0x1.6b59d1adf8e5fp-15,
+        0x1.4eb918df4cc34p-9}},
+  };
+  const DiagCase& c = diag_case();
+  for (const Pin& pin : pins) {
+    const bssn::ConstraintNorms n = bssn::compute_constraint_norms(
+        *c.mesh, c.state, c.params, {{0.05, 0.03, 0.02}}, pin.excise_radius);
+    EXPECT_EQ(n.ham_linf, pin.n.ham_linf) << pin.excise_radius;
+    EXPECT_EQ(n.mom_linf, pin.n.mom_linf) << pin.excise_radius;
+    EXPECT_NEAR(n.ham_l2, pin.n.ham_l2, 1e-12 * pin.n.ham_l2)
+        << pin.excise_radius;
+    EXPECT_NEAR(n.mom_l2, pin.n.mom_l2, 1e-12 * pin.n.mom_l2)
+        << pin.excise_radius;
+  }
 }
 
 /// The simgpu space used from BssnCtx must record the same kernel launch
